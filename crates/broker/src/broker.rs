@@ -846,13 +846,7 @@ impl Broker {
                     ));
                 }
                 // Advertisements are flooded through the overlay.
-                let mut out = self.broadcast_except(
-                    from,
-                    Message::Advertise {
-                        id,
-                        adv: adv.clone(),
-                    },
-                );
+                let mut out = self.broadcast_except(from, Message::Advertise { id, adv });
                 // Subscriptions that arrived before this advertisement
                 // were not forwarded toward it; re-evaluate the stored
                 // (top-level) subscriptions so the reverse path exists.
@@ -863,10 +857,7 @@ impl Broker {
                             .sent_to
                             .get(&sid)
                             .is_some_and(|dests| dests.contains(&from));
-                        if !only_from_there
-                            && !already_sent
-                            && xdn_core::advmatch::adv_overlaps_sub(&adv, &xpe)
-                        {
+                        if !only_from_there && !already_sent && self.srt.overlaps(id, &xpe) {
                             out.push(Outbound::from((from, Message::Subscribe { id: sid, xpe })));
                             self.sent_to.entry(sid).or_default().insert(from);
                         }
@@ -1001,23 +992,14 @@ impl Broker {
             .map(|(id, adv, _)| (id, adv.clone()))
             .collect();
         advs.sort_by_key(|(id, _)| id.0);
-        let scope: Vec<&xdn_core::adv::Advertisement> = self
-            .srt
-            .iter()
-            .filter(|(_, _, h)| **h == hop)
-            .map(|(_, adv, _)| adv)
-            .collect();
+        let scoped = self.srt.iter().any(|(_, _, h)| *h == hop);
         let mut subs: Vec<_> = self
             .prt
             .forwarded_subs()
             .into_iter()
             .filter(|(_, _, hops)| hops.iter().all(|h| *h != hop))
             .filter(|(_, xpe, _)| {
-                !self.config.advertisements
-                    || scope.is_empty()
-                    || scope
-                        .iter()
-                        .any(|adv| xdn_core::advmatch::adv_overlaps_sub(adv, xpe))
+                !self.config.advertisements || !scoped || self.srt.overlaps_via(xpe, &hop)
             })
             .map(|(id, xpe, _)| (id, xpe))
             .collect();

@@ -16,7 +16,7 @@
 //! [`crate::index::IndexedPrt`] — implement [`PublicationRouter`], the
 //! strategy-agnostic interface brokers program against.
 
-use crate::adv::Advertisement;
+use crate::adv::{AdvSegment, Advertisement};
 use crate::advmatch::PreparedAdv;
 use crate::subtree::{Insertion, NodeId, SubscriptionTree};
 use std::collections::{BTreeSet, HashMap};
@@ -46,9 +46,23 @@ impl fmt::Display for SubId {
 /// The subscription routing table: advertisements with the neighbour
 /// they arrived from. Generic over the hop type `H` (a broker id, a
 /// client handle, …).
+///
+/// Besides the entries, the table keeps an exact candidate index for
+/// [`Srt::match_sub`]: for each element name, the ids of the
+/// advertisements naming it at some position (inside `(…)+`
+/// repetitions too), plus the ids of the advertisements with a
+/// wildcard position. A named subscription step overlaps only a
+/// position with the same name or `*` (Figure 2(b)), and every
+/// position of every expansion comes from the advertisement's
+/// segments, so an advertisement that names none of a subscription's
+/// steps' elements and has no wildcard cannot overlap it.
 #[derive(Debug, Clone)]
 pub struct Srt<H> {
     entries: HashMap<AdvId, (PreparedAdv, H)>,
+    /// Element name → ids of the advertisements naming it, ascending.
+    by_name: HashMap<String, Vec<AdvId>>,
+    /// Ids of the advertisements with a wildcard position, ascending.
+    wildcard: Vec<AdvId>,
 }
 
 /// Longest subscription the SRT pre-expands recursive advertisements
@@ -60,6 +74,8 @@ impl<H> Default for Srt<H> {
     fn default() -> Self {
         Srt {
             entries: HashMap::new(),
+            by_name: HashMap::new(),
+            wildcard: Vec::new(),
         }
     }
 }
@@ -74,13 +90,34 @@ impl<H: Clone + Ord> Srt<H> {
     /// repetitions for fast repeated matching. Replaces any previous
     /// entry for the same id (re-flooded advertisements).
     pub fn insert(&mut self, id: AdvId, adv: Advertisement, last_hop: H) {
+        self.remove(id);
+        let (names, wildcard) = adv_positions(&adv);
+        for name in names {
+            insert_sorted(self.by_name.entry(name.to_owned()).or_default(), id);
+        }
+        if wildcard {
+            insert_sorted(&mut self.wildcard, id);
+        }
         self.entries
             .insert(id, (PreparedAdv::new(adv, SRT_PREPARED_SUB_LEN), last_hop));
     }
 
     /// Removes an advertisement (producer departure).
     pub fn remove(&mut self, id: AdvId) -> Option<(Advertisement, H)> {
-        self.entries.remove(&id).map(|(p, h)| (p.adv().clone(), h))
+        let (prepared, hop) = self.entries.remove(&id)?;
+        let (names, wildcard) = adv_positions(prepared.adv());
+        for name in names {
+            if let Some(ids) = self.by_name.get_mut(name) {
+                remove_sorted(ids, id);
+                if ids.is_empty() {
+                    self.by_name.remove(name);
+                }
+            }
+        }
+        if wildcard {
+            remove_sorted(&mut self.wildcard, id);
+        }
+        Some((prepared.adv().clone(), hop))
     }
 
     /// Number of stored advertisements.
@@ -95,12 +132,65 @@ impl<H: Clone + Ord> Srt<H> {
 
     /// The last hops whose advertisements overlap `sub` — where the
     /// subscription must be forwarded. Deduplicated.
+    ///
+    /// Runs the exact overlap test on the index's candidates only, and
+    /// skips candidates whose hop is already in the answer.
     pub fn match_sub(&self, sub: &Xpe) -> BTreeSet<H> {
+        let mut hops = BTreeSet::new();
+        for (adv, hop) in self.candidates(sub) {
+            if !hops.contains(hop) && adv.overlaps(sub) {
+                hops.insert(hop.clone());
+            }
+        }
+        hops
+    }
+
+    /// True if some advertisement from `hop` overlaps `sub`: the
+    /// one-hop question `match_sub(sub).contains(hop)`, answered from
+    /// the same candidates.
+    pub fn overlaps_via(&self, sub: &Xpe, hop: &H) -> bool {
+        self.candidates(sub)
+            .any(|(adv, h)| h == hop && adv.overlaps(sub))
+    }
+
+    /// Exact overlap of the stored advertisement `id` with `sub`, on
+    /// its prepared expansions. False if there is no such entry.
+    pub fn overlaps(&self, id: AdvId, sub: &Xpe) -> bool {
         self.entries
-            .values()
-            .filter(|(adv, _)| adv.overlaps(sub))
-            .map(|(_, hop)| hop.clone())
-            .collect()
+            .get(&id)
+            .is_some_and(|(adv, _)| adv.overlaps(sub))
+    }
+
+    /// The entries that can overlap `sub`. A subscription without a
+    /// named step can overlap anything: every entry. Otherwise the
+    /// advertisements naming its rarest element (none if some step's
+    /// element is advertised nowhere), plus those with a wildcard
+    /// position.
+    fn candidates<'a>(&'a self, sub: &Xpe) -> Box<dyn Iterator<Item = &'a (PreparedAdv, H)> + 'a> {
+        let rarest = sub
+            .steps()
+            .iter()
+            .filter_map(|step| step.test.name())
+            .map(|name| {
+                self.by_name
+                    .get(name)
+                    .map(Vec::as_slice)
+                    .unwrap_or_default()
+            })
+            .min_by_key(|ids| ids.len());
+        let Some(named) = rarest else {
+            return Box::new(self.entries.values());
+        };
+        let wildcard = self
+            .wildcard
+            .iter()
+            .filter(move |id| named.binary_search(id).is_err());
+        Box::new(
+            named
+                .iter()
+                .chain(wildcard)
+                .filter_map(|id| self.entries.get(id)),
+        )
     }
 
     /// Iterates over the stored entries.
@@ -146,10 +236,48 @@ impl<H: Clone + Ord> Srt<H> {
                 dropped.push(a);
             }
         }
-        for id in &dropped {
-            self.entries.remove(id);
+        for &id in &dropped {
+            self.remove(id);
         }
         dropped.len()
+    }
+}
+
+/// The distinct element names at `adv`'s positions, inside repetitions
+/// too, and whether some position is a wildcard.
+fn adv_positions(adv: &Advertisement) -> (BTreeSet<&str>, bool) {
+    fn walk<'a>(segments: &'a [AdvSegment], names: &mut BTreeSet<&'a str>, wildcard: &mut bool) {
+        for segment in segments {
+            match segment {
+                AdvSegment::Plain(path) => {
+                    for test in path.positions() {
+                        match test.name() {
+                            Some(name) => {
+                                names.insert(name);
+                            }
+                            None => *wildcard = true,
+                        }
+                    }
+                }
+                AdvSegment::Repeat(inner) => walk(inner, names, wildcard),
+            }
+        }
+    }
+    let mut names = BTreeSet::new();
+    let mut wildcard = false;
+    walk(adv.segments(), &mut names, &mut wildcard);
+    (names, wildcard)
+}
+
+fn insert_sorted(ids: &mut Vec<AdvId>, id: AdvId) {
+    if let Err(at) = ids.binary_search(&id) {
+        ids.insert(at, id);
+    }
+}
+
+fn remove_sorted(ids: &mut Vec<AdvId>, id: AdvId) {
+    if let Ok(at) = ids.binary_search(&id) {
+        ids.remove(at);
     }
 }
 
