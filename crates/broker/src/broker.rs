@@ -38,15 +38,16 @@ impl Merging {
 
 /// How a non-covering broker matches publications against its
 /// subscription table. Every variant returns identical destination
-/// sets; only the publication routing time changes. Ignored when
-/// [`RoutingConfig::covering`] is set (the covering tree is its own
-/// organization).
+/// sets; only the publication routing time changes. Has no effect
+/// when [`RoutingConfig::covering`] is set: the covering table decides
+/// forwarding with its tree and always delivers through its own
+/// embedded automaton (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchStrategy {
     /// Linear scan over every subscription (`FlatPrt`) — the paper's
     /// baseline.
     Flat,
-    /// Candidate-pruning inverted index (`IndexedPrt`). The default.
+    /// Candidate-pruning inverted index (`IndexedPrt`).
     Indexed,
     /// Subscriptions hash-partitioned across `shards` independent
     /// `IndexedPrt` tables, matched in parallel on the scoped worker
@@ -57,7 +58,7 @@ pub enum MatchStrategy {
     },
     /// The whole subscription set compiled into one shared NFA
     /// (`AutomatonPrt`): a publication is matched in a single
-    /// traversal, independent of the candidate count.
+    /// traversal, independent of the candidate count. The default.
     Automaton,
     /// Subscriptions hash-partitioned across `shards` independent
     /// `AutomatonPrt` tables, matched in parallel on the worker pool.
@@ -95,7 +96,8 @@ pub struct RoutingConfig {
     pub covering: bool,
     /// Merging mode, if any.
     pub merging: Option<Merging>,
-    /// Matching organization for non-covering tables. Replaces the old
+    /// Matching organization for non-covering tables (covering tables
+    /// always match with their embedded automaton). Replaces the old
     /// boolean `indexing` knob.
     pub strategy: MatchStrategy,
 }
@@ -103,8 +105,8 @@ pub struct RoutingConfig {
 /// Staged construction of a [`RoutingConfig`]; see
 /// [`RoutingConfig::builder`].
 ///
-/// Starts from the paper's baseline (`no-Adv-no-Cov`, no merging) with
-/// the match index enabled; each method switches one axis on.
+/// Starts from the paper's baseline (`no-Adv-no-Cov`, no merging)
+/// matched by the shared automaton; each method switches one axis on.
 #[derive(Debug, Clone, Copy)]
 pub struct RoutingConfigBuilder {
     advertisements: bool,
@@ -119,7 +121,7 @@ impl Default for RoutingConfigBuilder {
             advertisements: false,
             covering: false,
             merging: None,
-            strategy: MatchStrategy::Indexed,
+            strategy: MatchStrategy::Automaton,
         }
     }
 }
@@ -1030,6 +1032,16 @@ impl Broker {
 
     fn handle_subscribe(&mut self, from: Dest, id: SubId, xpe: Xpe) -> Vec<(Dest, Message)> {
         let sw = Stopwatch::start();
+        // A known id under a new expression replaces the old one: it is
+        // withdrawn exactly as an unsubscription would withdraw it
+        // (covering tables promote what it covered), so neither this
+        // table nor the upstream ones keep the stale expression.
+        let replaces = self.prt.xpe_of(id).is_some_and(|old| *old != xpe);
+        let mut out = if replaces {
+            self.handle_unsubscribe(from, id)
+        } else {
+            Vec::new()
+        };
         let outcome = self.prt.insert(id, xpe.clone(), from);
         if !outcome.forward {
             if let Some(tracer) = &self.tracer {
@@ -1042,7 +1054,6 @@ impl Broker {
                 ));
             }
         }
-        let mut out = Vec::new();
         if outcome.forward {
             // Covered subscriptions skip advertisement matching
             // entirely — the Figure 8 effect.
@@ -1478,6 +1489,52 @@ mod tests {
             "promoted /a/b re-forwarded: {kinds:?}"
         );
         assert!(kinds.contains(&MessageKind::Unsubscribe));
+    }
+
+    #[test]
+    fn resubscribe_under_new_expression_replaces_the_old_one() {
+        let mut b = Broker::new(
+            BrokerId(0),
+            RoutingConfig::builder()
+                .advertisements(true)
+                .covering(true)
+                .build(),
+        );
+        b.add_neighbor(BrokerId(1));
+        b.handle(
+            broker_hop(1),
+            Message::advertise(AdvId(1), adv(&["a", "b"])),
+        );
+        b.handle(
+            broker_hop(1),
+            Message::advertise(AdvId(2), adv(&["x", "y"])),
+        );
+        b.handle(client(1), Message::subscribe(SubId(1), xpe("/a/*")));
+        b.handle(client(2), Message::subscribe(SubId(2), xpe("/a/b")));
+        let out = b.handle(client(1), Message::subscribe(SubId(1), xpe("/x/y")));
+        // Upstream hears: /a/b promoted, the old /a/* withdrawn, the
+        // new expression subscribed — in that order.
+        let wire: Vec<(Dest, Message)> = out
+            .into_iter()
+            .map(|(d, m)| (d, m.payload().clone()))
+            .collect();
+        assert_eq!(
+            wire,
+            vec![
+                (broker_hop(1), Message::subscribe(SubId(2), xpe("/a/b"))),
+                (broker_hop(1), Message::Unsubscribe { id: SubId(1) }),
+                (broker_hop(1), Message::subscribe(SubId(1), xpe("/x/y"))),
+            ]
+        );
+        assert_eq!(b.prt_size(), 2, "the old /a/* node is gone");
+        let out = b.handle(broker_hop(1), Message::Publish(publication(&["a", "c"])));
+        assert!(out.is_empty(), "stale /a/* no longer delivers: {out:?}");
+        let out = b.handle(broker_hop(1), Message::Publish(publication(&["a", "b"])));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, client(2));
+        let out = b.handle(broker_hop(1), Message::Publish(publication(&["x", "y"])));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, client(1));
     }
 
     #[test]
@@ -2112,6 +2169,12 @@ mod batch_tests {
         ] {
             assert!(batch_fixture(strategy).automaton_stats().is_none());
         }
+        // Covering tables deliver through an embedded automaton.
+        let mut covering =
+            Broker::new(BrokerId(0), RoutingConfig::builder().covering(true).build());
+        covering.handle(client(7), Message::subscribe(SubId(2), xpe("//c")));
+        let stats = covering.automaton_stats().expect("covering has stats");
+        assert_eq!(stats.live_subs, 1);
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! where [`crate::index::IndexedPrt`] still evaluates each surviving
 //! candidate individually.
 //!
-//! The router composes like every other [`PublicationRouter`]: wrap it
-//! in [`crate::rtable::TimedRouter`] for latency histograms or shard it
+//! It is also the delivery half of the covering [`crate::rtable::Prt`],
+//! which keeps its subscription tree for forwarding and registers every
+//! subscription here for matching.
+//!
+//! The router composes like every other [`PublicationRouter`]: shard it
 //! under [`crate::shard::ShardedRouter`] for parallel matching (the
 //! automaton's traversal scratch is thread-local, so concurrent
 //! read-side fan-out over one shard is safe). Match results are
@@ -190,7 +193,7 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rtable::{FlatPrt, RouteRequest, TimedRouter};
+    use crate::rtable::{FlatPrt, RouteRequest};
     use crate::shard::ShardedRouter;
 
     fn xpe(s: &str) -> Xpe {
@@ -272,15 +275,6 @@ mod tests {
             let p = path(&["a", &format!("b{i}"), "c", "d"]);
             assert_eq!(aut.matching_hops(&p, &[]).len(), 1);
         }
-    }
-
-    #[test]
-    fn composes_under_timed_router() {
-        let mut r: TimedRouter<AutomatonPrt<u32>> = TimedRouter::new(AutomatonPrt::new());
-        r.insert(SubId(1), xpe("/a/b"), 7);
-        assert_eq!(r.matching_hops(&path(&["a", "b"]), &[]).len(), 1);
-        assert_eq!(r.route_times().count(), 1);
-        assert!(r.automaton_stats().is_some(), "stats pass through");
     }
 
     #[test]

@@ -10,17 +10,24 @@
 //!   last hops of subscriptions it matches, tracing the reverse path
 //!   the subscription built.
 //!
-//! [`Prt`] is built on the covering [`SubscriptionTree`]; [`FlatPrt`]
-//! is the non-covering baseline used by the paper's `no-Cov` routing
-//! strategies (Tables 2 and 3). Both — and the candidate-pruning
-//! [`crate::index::IndexedPrt`] — implement [`PublicationRouter`], the
-//! strategy-agnostic interface brokers program against.
+//! [`Prt`] is the covering table of the paper's `with-Cov` strategies:
+//! its [`SubscriptionTree`] decides which subscriptions are forwarded
+//! upstream (covering, merging, Figures 6/7), while an embedded
+//! [`AutomatonPrt`] matches publications. [`FlatPrt`] is the
+//! non-covering baseline used by the paper's `no-Cov` routing
+//! strategies (Tables 2 and 3) and the test oracle. All of them — and
+//! the candidate-pruning [`crate::index::IndexedPrt`] — implement
+//! [`PublicationRouter`], the strategy-agnostic interface brokers
+//! program against.
 
 use crate::adv::{AdvSegment, Advertisement};
 use crate::advmatch::PreparedAdv;
+use crate::automaton::AutomatonPrt;
 use crate::subtree::{Insertion, NodeId, SubscriptionTree};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::BuildHasher;
 use xdn_xpath::Xpe;
 
 /// Network-wide identifier of an advertisement.
@@ -305,6 +312,11 @@ pub struct RouteRequest<'a> {
 pub trait PublicationRouter<H: Clone + Ord>: fmt::Debug {
     /// Registers a subscription from `last_hop` and reports what the
     /// broker owes the wire (forwarding, retractions, owed directions).
+    ///
+    /// Re-registering a known id under a different expression replaces
+    /// it. The outcome describes only the new registration, so a caller
+    /// that forwards subscriptions withdraws an id's old expression
+    /// before registering a different one.
     fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H>;
 
     /// Removes a subscription; reports forwarding and promotions.
@@ -422,16 +434,47 @@ pub struct UnsubscribeOutcome {
     pub promote: Vec<SubId>,
 }
 
-/// The covering publication routing table: a [`SubscriptionTree`] whose
-/// payloads are the ⟨subscription id, last hop⟩ pairs sharing an
-/// expression.
+/// The covering publication routing table. It does two jobs with two
+/// structures, kept in step by [`PublicationRouter::insert`] and
+/// [`PublicationRouter::remove`]:
+///
+/// * **forwarding** — a [`SubscriptionTree`] whose payloads are the
+///   ⟨subscription id, last hop⟩ pairs sharing an expression decides
+///   what goes upstream: [`SubscribeOutcome`] / [`UnsubscribeOutcome`],
+///   retractions, promotions, [`PublicationRouter::forwarded_subs`],
+///   [`Prt::effective_size`] and merging (§4);
+/// * **delivery** — an embedded [`AutomatonPrt`] holding the expression
+///   of every tree node with subscribers matches publications in one
+///   traversal and reports the matching nodes' payloads
+///   ([`PublicationRouter::for_each_matching_with_attrs`], and through
+///   it `matching_hops` and `route_batch`).
+///
+/// The automaton answers exactly what the paper's tree walk answers:
+/// covering is sound (a parent matches every publication its children
+/// match), so the walk's pruning loses nothing, and merger nodes carry
+/// empty payloads, so they add nothing and stay out of the automaton
+/// until a subscription with the same expression joins them. The walk
+/// itself stays available through [`Prt::tree`].
 #[derive(Debug)]
 pub struct Prt<H> {
     tree: SubscriptionTree<Vec<(SubId, H)>>,
     by_sub: HashMap<SubId, NodeId>,
-    by_xpe: HashMap<Xpe, NodeId>,
+    /// Tree nodes by a hash of their expression, so an equal
+    /// expression joins its node. The tree and the automaton already
+    /// hold a copy of each expression; a third here would cost a few
+    /// hundred bytes per subscription.
+    by_xpe: HashMap<u64, Vec<NodeId>>,
+    xpe_hasher: RandomState,
     /// Synthetic merger subscriptions (empty payload) by node.
     synthetic: HashMap<NodeId, SubId>,
+    /// Exactly the tree nodes with a non-empty payload, registered
+    /// under [`node_token`] with the node as their "hop".
+    matcher: AutomatonPrt<NodeId>,
+}
+
+/// The automaton token of a tree node.
+fn node_token(node: NodeId) -> SubId {
+    SubId(u64::from(node.index()))
 }
 
 impl<H> Default for Prt<H> {
@@ -440,7 +483,9 @@ impl<H> Default for Prt<H> {
             tree: SubscriptionTree::new(),
             by_sub: HashMap::new(),
             by_xpe: HashMap::new(),
+            xpe_hasher: RandomState::new(),
             synthetic: HashMap::new(),
+            matcher: AutomatonPrt::new(),
         }
     }
 }
@@ -494,6 +539,27 @@ impl<H: Clone + Ord> Prt<H> {
         self.by_sub.get(&id).map(|&n| self.tree.xpe(n))
     }
 
+    /// The tree node holding exactly `xpe`, if any.
+    fn node_of(&self, xpe: &Xpe) -> Option<NodeId> {
+        let bucket = self.by_xpe.get(&self.xpe_hasher.hash_one(xpe))?;
+        bucket.iter().copied().find(|&n| self.tree.xpe(n) == xpe)
+    }
+
+    fn index_node(&mut self, node: NodeId) {
+        let key = self.xpe_hasher.hash_one(self.tree.xpe(node));
+        self.by_xpe.entry(key).or_default().push(node);
+    }
+
+    fn unindex_node(&mut self, node: NodeId) {
+        let key = self.xpe_hasher.hash_one(self.tree.xpe(node));
+        if let Some(bucket) = self.by_xpe.get_mut(&key) {
+            bucket.retain(|&n| n != node);
+            if bucket.is_empty() {
+                self.by_xpe.remove(&key);
+            }
+        }
+    }
+
     /// Number of distinct expressions stored (tree nodes).
     pub fn len(&self) -> usize {
         self.tree.len()
@@ -525,7 +591,7 @@ impl<H: Clone + Ord> Prt<H> {
         for (node, demoted) in report.mergers {
             let merger_id = next_id();
             self.by_sub.insert(merger_id, node);
-            self.by_xpe.insert(self.tree.xpe(node).clone(), node);
+            self.index_node(node);
             self.synthetic.insert(node, merger_id);
             let mut retract = Vec::new();
             for d in demoted {
@@ -543,14 +609,18 @@ impl<H: Clone + Ord> Prt<H> {
         out
     }
 
-    /// Access to the underlying tree (merging, diagnostics).
-    pub fn tree_mut(&mut self) -> &mut SubscriptionTree<Vec<(SubId, H)>> {
-        &mut self.tree
-    }
-
-    /// Shared access to the underlying tree.
+    /// The covering tree: forwarding decisions, table sizes, and the
+    /// paper's tree-walk matching
+    /// ([`SubscriptionTree::for_each_matching_with_attrs`]), which
+    /// Table 1 times and the tests use as a second oracle.
     pub fn tree(&self) -> &SubscriptionTree<Vec<(SubId, H)>> {
         &self.tree
+    }
+
+    /// The embedded automaton's metrics snapshot. Its entries are the
+    /// distinct expressions with subscribers, not the subscriptions.
+    pub fn automaton_stats(&self) -> crate::automaton::AutomatonStats {
+        self.matcher.stats()
     }
 }
 
@@ -559,9 +629,23 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
     /// covered expression is stored but not forwarded; a covering
     /// expression demotes the top-level expressions it covers, which
     /// are reported in [`SubscribeOutcome::retract`].
+    ///
+    /// A known id under a different expression first leaves its old
+    /// node exactly as [`PublicationRouter::remove`] would (retracting
+    /// the node and promoting what it covered); the promotions are not
+    /// reported here, so a forwarding caller removes the id itself.
     fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H> {
-        if let Some(&node) = self.by_xpe.get(&xpe) {
+        if let Some(&old) = self.by_sub.get(&id) {
+            if *self.tree.xpe(old) != xpe {
+                self.remove(id);
+            }
+        }
+        if let Some(node) = self.node_of(&xpe) {
             let payload = self.tree.payload_mut(node);
+            if payload.is_empty() {
+                // A merger's expression gains its first subscriber.
+                self.matcher.insert(node_token(node), xpe, node);
+            }
             // Re-forwarded subscriptions (advertisement re-evaluation)
             // are idempotent.
             if !payload.contains(&(id, last_hop.clone())) {
@@ -579,7 +663,8 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
         }
         let insertion = self.tree.insert(xpe.clone(), vec![(id, last_hop.clone())]);
         let node = insertion.id();
-        self.by_xpe.insert(xpe, node);
+        self.matcher.insert(node_token(node), xpe, node);
+        self.index_node(node);
         self.by_sub.insert(id, node);
         match insertion {
             Insertion::CoveredBy { .. } => SubscribeOutcome {
@@ -618,8 +703,11 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
                 promote: Vec::new(),
             };
         }
+        // A merger node never entered the automaton; removing it there
+        // is a no-op.
+        self.matcher.remove(node_token(node));
         let was_top = self.tree.parent(node).is_none();
-        self.by_xpe.remove(&self.tree.xpe(node).clone());
+        self.unindex_node(node);
         self.synthetic.remove(&node);
         let (_, promoted) = self.tree.remove(node);
         UnsubscribeOutcome {
@@ -637,15 +725,16 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
         }
     }
 
+    /// Matched by the embedded automaton, not by walking the tree.
     fn for_each_matching_with_attrs(
         &self,
         path: &[String],
         attrs: &[Vec<(String, String)>],
         f: &mut dyn FnMut(SubId, &H),
     ) {
-        self.tree
-            .for_each_matching_with_attrs(path, attrs, |_, subs| {
-                for (id, hop) in subs {
+        self.matcher
+            .for_each_matching_with_attrs(path, attrs, &mut |_, &node| {
+                for (id, hop) in self.tree.payload(node) {
                     f(*id, hop);
                 }
             });
@@ -690,6 +779,10 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
         next_id: &mut dyn FnMut() -> SubId,
     ) -> Vec<MergeApplication> {
         Prt::apply_merging(self, universe, cfg, next_id)
+    }
+
+    fn automaton_stats(&self) -> Option<crate::automaton::AutomatonStats> {
+        Some(Prt::automaton_stats(self))
     }
 }
 
@@ -781,139 +874,6 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for FlatPrt<H> {
     }
 }
 
-/// A [`PublicationRouter`] decorator that records per-operation latency
-/// into [`xdn_obs::Histogram`]s: one for match/route calls
-/// ([`TimedRouter::route_times`]), one for subscription inserts
-/// ([`TimedRouter::insert_times`]).
-///
-/// This is the sanctioned timing hook for routing-table operations —
-/// benchmark reports read these histograms instead of re-deriving means
-/// from ad-hoc `Instant` arithmetic (which `cargo xtask lint` forbids
-/// in this crate).
-#[derive(Debug, Default)]
-pub struct TimedRouter<R> {
-    inner: R,
-    route_times: std::cell::RefCell<xdn_obs::Histogram>,
-    insert_times: std::cell::RefCell<xdn_obs::Histogram>,
-}
-
-impl<R> TimedRouter<R> {
-    /// Wraps `inner`, starting with empty histograms.
-    pub fn new(inner: R) -> Self {
-        TimedRouter {
-            inner,
-            route_times: std::cell::RefCell::new(xdn_obs::Histogram::new()),
-            insert_times: std::cell::RefCell::new(xdn_obs::Histogram::new()),
-        }
-    }
-
-    /// The wrapped router.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// The wrapped router, mutably. Operations through this reference
-    /// bypass timing.
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-
-    /// Unwraps the router, dropping the recorded times.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
-    /// Snapshot of the match/route latency distribution.
-    pub fn route_times(&self) -> xdn_obs::Histogram {
-        self.route_times.borrow().clone()
-    }
-
-    /// Snapshot of the insert latency distribution.
-    pub fn insert_times(&self) -> xdn_obs::Histogram {
-        self.insert_times.borrow().clone()
-    }
-
-    /// Clears both histograms (e.g. between a warm-up and a measured
-    /// phase).
-    pub fn reset_times(&self) {
-        *self.route_times.borrow_mut() = xdn_obs::Histogram::new();
-        *self.insert_times.borrow_mut() = xdn_obs::Histogram::new();
-    }
-}
-
-impl<H: Clone + Ord, R: PublicationRouter<H>> PublicationRouter<H> for TimedRouter<R> {
-    fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H> {
-        let sw = xdn_obs::Stopwatch::start();
-        let outcome = self.inner.insert(id, xpe, last_hop);
-        self.insert_times.borrow_mut().record(sw.elapsed());
-        outcome
-    }
-
-    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome {
-        self.inner.remove(id)
-    }
-
-    fn for_each_matching_with_attrs(
-        &self,
-        path: &[String],
-        attrs: &[Vec<(String, String)>],
-        f: &mut dyn FnMut(SubId, &H),
-    ) {
-        let sw = xdn_obs::Stopwatch::start();
-        self.inner.for_each_matching_with_attrs(path, attrs, f);
-        self.route_times.borrow_mut().record(sw.elapsed());
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn xpe_of(&self, id: SubId) -> Option<&Xpe> {
-        self.inner.xpe_of(id)
-    }
-
-    fn forwarded_subs(&self) -> Vec<(SubId, Xpe, Vec<H>)> {
-        self.inner.forwarded_subs()
-    }
-
-    fn effective_size(&self) -> usize {
-        self.inner.effective_size()
-    }
-
-    fn apply_merging(
-        &mut self,
-        universe: &[Vec<String>],
-        cfg: &crate::merge::MergeConfig,
-        next_id: &mut dyn FnMut() -> SubId,
-    ) -> Vec<MergeApplication> {
-        self.inner.apply_merging(universe, cfg, next_id)
-    }
-
-    /// Delegates to the inner batch path (which may be parallel) and
-    /// spreads the batch's wall time over its requests so the
-    /// histogram's count stays one sample per routed publication.
-    fn route_batch(&self, requests: &[RouteRequest<'_>]) -> Vec<BTreeSet<H>> {
-        let sw = xdn_obs::Stopwatch::start();
-        let out = self.inner.route_batch(requests);
-        if !requests.is_empty() {
-            let per = sw.elapsed() / requests.len() as u32;
-            let mut times = self.route_times.borrow_mut();
-            for _ in requests {
-                times.record(per);
-            }
-        }
-        out
-    }
-
-    fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        self.inner.shard_stats()
-    }
-
-    fn automaton_stats(&self) -> Option<crate::automaton::AutomatonStats> {
-        self.inner.automaton_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -929,22 +889,6 @@ mod tests {
 
     fn path(p: &[&str]) -> Vec<String> {
         p.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn timed_router_records_and_delegates() {
-        let mut r: TimedRouter<FlatPrt<u32>> = TimedRouter::new(FlatPrt::new());
-        r.insert(SubId(1), xpe("/a/b"), 7);
-        r.insert(SubId(2), xpe("//c"), 8);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.insert_times().count(), 2);
-        let hops = r.matching_hops(&["a".to_string(), "b".to_string()], &[]);
-        assert_eq!(hops.into_iter().collect::<Vec<_>>(), vec![7]);
-        assert_eq!(r.route_times().count(), 1);
-        r.reset_times();
-        assert!(r.route_times().is_empty());
-        assert!(r.insert_times().is_empty());
-        assert_eq!(r.into_inner().len(), 2);
     }
 
     #[test]
@@ -1050,6 +994,82 @@ mod tests {
         let mut prt = Prt::<&str>::new();
         let out = prt.remove(SubId(42));
         assert!(!out.forward && out.promote.is_empty());
+    }
+
+    /// The hops the paper's tree walk reaches for `p`.
+    fn walk_hops<H: Clone + Ord>(prt: &Prt<H>, p: &[String]) -> BTreeSet<H> {
+        let mut out = BTreeSet::new();
+        prt.tree().for_each_matching_with_attrs(p, &[], |_, subs| {
+            out.extend(subs.iter().map(|(_, h)| h.clone()));
+        });
+        out
+    }
+
+    #[test]
+    fn prt_resubscribe_under_new_expression_replaces() {
+        let mut prt = Prt::new();
+        prt.insert(SubId(1), xpe("/a"), 7);
+        prt.insert(SubId(1), xpe("/b"), 7);
+        let (pa, pb) = (path(&["a"]), path(&["b"]));
+        assert!(
+            prt.matching_hops(&pa, &[]).is_empty(),
+            "old expression gone"
+        );
+        assert_eq!(prt.matching_hops(&pb, &[]), BTreeSet::from([7]));
+        assert!(walk_hops(&prt, &pa).is_empty());
+        assert_eq!(prt.len(), 1);
+        assert_eq!(prt.xpe_of(SubId(1)), Some(&xpe("/b")));
+        assert!(prt.remove(SubId(1)).forward);
+        assert!(prt.matching_hops(&pa, &[]).is_empty());
+        assert!(prt.matching_hops(&pb, &[]).is_empty());
+        assert_eq!(prt.len(), 0);
+    }
+
+    #[test]
+    fn prt_resubscribe_promotes_what_the_old_expression_covered() {
+        let mut prt = Prt::new();
+        prt.insert(SubId(1), xpe("/a/*"), "h1");
+        prt.insert(SubId(2), xpe("/a/b"), "h2");
+        assert_eq!(prt.effective_size(), 1);
+        prt.insert(SubId(1), xpe("/x"), "h1");
+        assert_eq!(prt.effective_size(), 2, "/a/b is top-level again");
+        let mut forwarded: Vec<SubId> = prt.forwarded_subs().iter().map(|f| f.0).collect();
+        forwarded.sort();
+        assert_eq!(forwarded, vec![SubId(1), SubId(2)]);
+        let p = path(&["a", "b"]);
+        assert_eq!(prt.matching_hops(&p, &[]), BTreeSet::from(["h2"]));
+        assert_eq!(walk_hops(&prt, &p), BTreeSet::from(["h2"]));
+    }
+
+    #[test]
+    fn prt_unions_the_hops_of_one_id() {
+        let mut prt = Prt::new();
+        prt.insert(SubId(1), xpe("/a"), "h1");
+        prt.insert(SubId(1), xpe("/a"), "h1");
+        prt.insert(SubId(1), xpe("/a"), "h2");
+        let p = path(&["a"]);
+        assert_eq!(prt.matching_hops(&p, &[]), BTreeSet::from(["h1", "h2"]));
+        assert_eq!(walk_hops(&prt, &p), BTreeSet::from(["h1", "h2"]));
+        assert_eq!(prt.automaton_stats().live_subs, 1);
+        prt.remove(SubId(1));
+        assert!(prt.matching_hops(&p, &[]).is_empty());
+        assert_eq!(prt.automaton_stats().live_subs, 0);
+    }
+
+    #[test]
+    fn prt_delivers_through_the_automaton() {
+        let mut prt = Prt::new();
+        prt.insert(SubId(1), xpe("/a/*"), "h1");
+        prt.insert(SubId(2), xpe("/a/b"), "h2");
+        prt.insert(SubId(3), xpe("/a/b"), "h3");
+        let stats = PublicationRouter::automaton_stats(&prt).expect("covering has stats");
+        assert_eq!(stats.live_subs, 2, "one entry per distinct expression");
+        let p = path(&["a", "b"]);
+        assert_eq!(prt.matching_hops(&p, &[]), walk_hops(&prt, &p));
+        assert!(prt.automaton_stats().transitions_total > 0);
+        prt.remove(SubId(1));
+        assert_eq!(prt.automaton_stats().live_subs, 1);
+        assert_eq!(prt.matching_hops(&p, &[]), BTreeSet::from(["h2", "h3"]));
     }
 
     #[test]

@@ -37,6 +37,14 @@ use xdn_xpath::{Axis, NodeTest, Xpe};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
+impl NodeId {
+    /// The node's slot number: unique among live nodes (a removed
+    /// node's slot is reused).
+    pub fn index(self) -> u32 {
+        self.0
+    }
+}
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)

@@ -1,6 +1,5 @@
 //! Delegation-completeness tests for the [`PublicationRouter`]
-//! wrappers: [`TimedRouter`] must forward *every* trait method to the
-//! router it wraps, and [`ShardedRouter`] must forward every method to
+//! wrapper: [`ShardedRouter`] must forward every method to
 //! its shards (modulo the documented exceptions: merging is a no-op on
 //! non-covering shards, and `shard_stats` is answered by the sharded
 //! router itself). A wrapper that silently falls back to a default
@@ -13,7 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use xdn_core::merge::MergeConfig;
 use xdn_core::rtable::{
     FlatPrt, MergeApplication, PublicationRouter, RouteRequest, SubId, SubscribeOutcome,
-    TimedRouter, UnsubscribeOutcome,
+    UnsubscribeOutcome,
 };
 use xdn_core::shard::ShardedRouter;
 use xdn_xpath::Xpe;
@@ -35,10 +34,9 @@ struct Counts {
     shard_stats: AtomicUsize,
 }
 
-/// A [`FlatPrt`] that counts every trait-method call. `fresh()` keeps
-/// the counters private to the caller; `Default` (used by
-/// [`ShardedRouter`] to build shards) additionally registers them in a
-/// global list so the sharded test can observe all of its shards.
+/// A [`FlatPrt`] that counts every trait-method call. `Default` (used
+/// by [`ShardedRouter`] to build shards) registers the counters in a
+/// global list so the test can observe all of its shards.
 #[derive(Debug)]
 struct SpyRouter {
     inner: FlatPrt<u32>,
@@ -50,20 +48,14 @@ fn registry() -> &'static Mutex<Vec<Arc<Counts>>> {
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-impl SpyRouter {
-    fn fresh() -> Self {
-        SpyRouter {
-            inner: FlatPrt::new(),
-            counts: Arc::new(Counts::default()),
-        }
-    }
-}
-
 impl Default for SpyRouter {
     fn default() -> Self {
-        let spy = Self::fresh();
-        registry().lock().unwrap().push(spy.counts.clone());
-        spy
+        let counts = Arc::new(Counts::default());
+        registry().lock().unwrap().push(counts.clone());
+        SpyRouter {
+            inner: FlatPrt::new(),
+            counts,
+        }
     }
 }
 
@@ -143,67 +135,6 @@ fn xpe(s: &str) -> Xpe {
 
 fn path(p: &[&str]) -> Vec<String> {
     p.iter().map(|s| (*s).to_string()).collect()
-}
-
-#[test]
-fn timed_router_forwards_every_method() {
-    let spy = SpyRouter::fresh();
-    let counts = spy.counts.clone();
-    let mut timed = TimedRouter::new(spy);
-
-    timed.insert(SubId(1), xpe("/a/b"), 7);
-    assert_eq!(counts.insert.load(Ordering::Relaxed), 1, "insert");
-
-    timed.for_each_matching_with_attrs(&path(&["a", "b"]), &[], &mut |_, _| {});
-    assert_eq!(counts.for_each.load(Ordering::Relaxed), 1, "for_each");
-
-    let p = path(&["a", "b"]);
-    let reqs = [RouteRequest {
-        path: &p,
-        attrs: &[],
-    }];
-    assert_eq!(timed.route_batch(&reqs), vec![BTreeSet::from([7])]);
-    assert_eq!(counts.route_batch.load(Ordering::Relaxed), 1, "route_batch");
-
-    assert_eq!(PublicationRouter::len(&timed), 1);
-    assert_eq!(counts.len.load(Ordering::Relaxed), 1, "len");
-
-    assert_eq!(
-        PublicationRouter::xpe_of(&timed, SubId(1)),
-        Some(&xpe("/a/b"))
-    );
-    assert_eq!(counts.xpe_of.load(Ordering::Relaxed), 1, "xpe_of");
-
-    assert_eq!(timed.forwarded_subs().len(), 1);
-    assert_eq!(
-        counts.forwarded_subs.load(Ordering::Relaxed),
-        1,
-        "forwarded_subs"
-    );
-
-    assert_eq!(timed.effective_size(), 1);
-    assert_eq!(
-        counts.effective_size.load(Ordering::Relaxed),
-        1,
-        "effective_size"
-    );
-
-    let mut next = 100u64;
-    timed.apply_merging(&[], &MergeConfig::default(), &mut || {
-        next += 1;
-        SubId(next)
-    });
-    assert_eq!(
-        counts.apply_merging.load(Ordering::Relaxed),
-        1,
-        "apply_merging"
-    );
-
-    assert!(timed.shard_stats().is_none());
-    assert_eq!(counts.shard_stats.load(Ordering::Relaxed), 1, "shard_stats");
-
-    timed.remove(SubId(1));
-    assert_eq!(counts.remove.load(Ordering::Relaxed), 1, "remove");
 }
 
 #[test]

@@ -36,10 +36,9 @@ fn usage() -> ! {
          route publication batches on the worker pool (XDN_MATCH_THREADS); \
          forces covering off\n\
          strategies: no-adv-no-cov | no-adv-with-cov | with-adv-no-cov | \
-         with-adv-with-cov | with-adv-with-cov-pm | with-adv-with-cov-ipm | \
-         automaton\n\
-         automaton: match with the shared subscription NFA (one traversal \
-         per publication); forces covering off, composes with --shards"
+         with-adv-with-cov | with-adv-with-cov-pm | with-adv-with-cov-ipm \
+         (default with-adv-with-cov; without --shards, every strategy \
+         matches publications with the shared subscription automaton)"
     );
     std::process::exit(2);
 }
@@ -74,7 +73,6 @@ fn main() {
         .build();
 
     let mut shards: Option<usize> = None;
-    let mut automaton = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -105,12 +103,8 @@ fn main() {
             }
             "--strategy" => {
                 i += 1;
-                match args.get(i) {
-                    Some(s) if canon(s) == "automaton" => automaton = true,
-                    Some(s) => match strategy_by_name(s) {
-                        Some(cfg) => strategy = cfg,
-                        None => usage(),
-                    },
+                match args.get(i).and_then(|s| strategy_by_name(s)) {
+                    Some(cfg) => strategy = cfg,
                     None => usage(),
                 }
             }
@@ -129,16 +123,7 @@ fn main() {
     let (Some(id), Some(listen)) = (id, listen) else {
         usage()
     };
-    if automaton {
-        // Automaton matching replaces the covering organization (the
-        // shared NFA is non-covering by design; see DESIGN.md §15).
-        strategy.covering = false;
-        strategy.merging = None;
-        strategy.strategy = match shards {
-            Some(n) => MatchStrategy::ShardedAutomaton { shards: n },
-            None => MatchStrategy::Automaton,
-        };
-    } else if let Some(n) = shards {
+    if let Some(n) = shards {
         // Sharded matching replaces the covering organization (shards
         // are non-covering by design; see DESIGN.md §12).
         strategy.covering = false;

@@ -1454,6 +1454,11 @@ mod tests {
         assert!(body.contains("xdn_frame_pool_hits_total"), "{body}");
         assert!(body.contains("xdn_frame_pool_misses_total"), "{body}");
         assert!(body.contains("xdn_frame_pool_discards_total"), "{body}");
+        // The default builder matches with the shared automaton.
+        assert!(
+            body.contains("# TYPE xdn_automaton_states gauge\n"),
+            "{body}"
+        );
 
         // The programmatic accessor serves the same families, and the
         // MetricsSink path saw the same traffic and delivery.
@@ -1466,12 +1471,15 @@ mod tests {
         n.shutdown();
     }
 
+    /// `xdn-node`'s default configuration (advertisements + covering)
+    /// delivers through the covering table's embedded automaton, so its
+    /// scrape carries the `xdn_automaton_*` families.
     #[test]
     fn tcp_automaton_metrics_scrape() {
-        let mut cfg = RoutingConfig::builder().build();
-        cfg.covering = false;
-        cfg.merging = None;
-        cfg.strategy = xdn_broker::MatchStrategy::Automaton;
+        let cfg = RoutingConfig::builder()
+            .advertisements(true)
+            .covering(true)
+            .build();
         let n = TcpNode::start(BrokerId(9), cfg, ephemeral(), &[]).expect("node");
         let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
@@ -1492,6 +1500,10 @@ mod tests {
         assert!(
             text.contains("# TYPE xdn_automaton_transitions_total counter\n"),
             "{text}"
+        );
+        assert!(
+            !text.contains("xdn_automaton_transitions_total 0\n"),
+            "the publication was matched by the automaton: {text}"
         );
         assert!(text.contains("xdn_automaton_active_states_peak"), "{text}");
         assert!(
